@@ -63,7 +63,9 @@ module Make (P : Protocol.S) = struct
     metrics : Metrics.t;
     ledgers : Ledger.t array;            (* per replica *)
     apps : Kv.t array;                   (* App state machine per replica *)
-    tables : Table.t array;              (* zero-copy views over the apps' records *)
+    memo : Kv.memo;                      (* the apps' shared execution memo *)
+    tables : Table.t array;              (* read-only views over the apps' records *)
+    temp_store : string option;          (* the Disk store root [create] made itself *)
     mutable nodes : node_kind array;
     drivers : client_driver array;
     mutable crashed : bool array;
@@ -92,12 +94,25 @@ module Make (P : Protocol.S) = struct
   let ledger t ~replica = t.ledgers.(replica)
   let table t ~replica = t.tables.(replica)
   let app t ~replica = Kv.app t.apps.(replica)
+  let kv t ~replica = t.apps.(replica)
   let keychain t = t.keychain
   let set_delivery_hook t h = Network.set_delivery_hook t.net h
 
+  let rec remove_tree path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+
   (* Release backend resources (the persistent backend holds an open
-     log channel per replica).  Idempotent; a no-op for Memory. *)
-  let close t = Array.iter Kv.close t.apps
+     log channel per replica), drop the memo's entries, and delete the
+     store root [create] made itself.  Idempotent. *)
+  let close t =
+    Array.iter Kv.close t.apps;
+    Kv.clear_memo t.memo;
+    Option.iter remove_tree t.temp_store
 
   (* Adversarial interposition: adapt the protocol-payload hooks of
      lib/adversary to the packet-level hooks of the network.  Forged or
@@ -338,25 +353,30 @@ module Make (P : Protocol.S) = struct
        image once and memcpy, instead of re-mixing 600 k records per
        node.  Each replica's App is a Kv state machine over the
        configured backend; replica 0 of the Memory configuration
-       adopts the master directly (no extra copy). *)
+       adopts the master directly (no extra copy).  Every replica
+       starts on the master, so all share one execution memo: a batch
+       is executed once per (state, batch), not once per replica
+       (DESIGN.md §18). *)
     let master = Backend.init_records ~n_records in
-    let store_root =
+    let store_root, temp_store =
       match (cfg.Config.storage, store_dir) with
-      | Config.Memory, _ -> None
-      | Config.Disk, Some d -> Some d
+      | Config.Memory, _ -> (None, None)
+      | Config.Disk, Some d -> (Some d, None)
       | Config.Disk, None ->
           (* A unique scratch directory per deployment: claim a unique
-             temp-file name and use it as the directory root. *)
+             temp-file name and use it as the directory root ([close]
+             removes it). *)
           let stamp = Filename.temp_file "rdb-store-" "" in
           Sys.remove stamp;
-          Some stamp
+          (Some stamp, Some stamp)
     in
+    let memo = Kv.create_memo () in
     let apps =
       Array.init n_repl (fun i ->
           match store_root with
-          | None -> if i = 0 then Kv.of_records master else Kv.of_master master
+          | None -> if i = 0 then Kv.of_records ~memo master else Kv.of_master ~memo master
           | Some root ->
-              Kv.disk ~init:master
+              Kv.disk ~memo ~init:master
                 ~dir:(Filename.concat root (Printf.sprintf "r%d" i))
                 ~n_records ())
     in
@@ -428,7 +448,9 @@ module Make (P : Protocol.S) = struct
         metrics;
         ledgers;
         apps;
+        memo;
         tables;
+        temp_store;
         nodes = [||];
         drivers;
         crashed = Array.make n_nodes false;

@@ -44,14 +44,17 @@ module Make (P : Rdb_types.Protocol.S) : sig
       enables the per-cluster engine sharding (results are identical
       either way).  [store_dir] roots the persistent backend's
       per-replica directories when the config selects [Disk] storage
-      (default: a fresh temp directory per deployment). *)
+      (default: a fresh [rdb-store-*] temp directory per deployment,
+      removed by {!close}). *)
 
   val run : ?warmup:Time.t -> ?measure:Time.t -> ?jobs:int -> t -> Report.t
   (** Drive clients, warm up, measure, and report (§4 methodology). *)
 
   val close : t -> unit
   (** Release storage-backend resources (open block-log channels of
-      [Disk] deployments).  Idempotent; a no-op for [Memory]. *)
+      [Disk] deployments), drop the execution memo's entries, and
+      delete the temp store root [create] made when no [store_dir] was
+      given.  A caller's [store_dir] is left untouched.  Idempotent. *)
 
   (** {1 Accessors} *)
 
@@ -63,12 +66,18 @@ module Make (P : Rdb_types.Protocol.S) : sig
   val ledger : t -> replica:int -> Ledger.t
 
   val table : t -> replica:int -> Table.t
-  (** Zero-copy read view over [replica]'s live store (digests,
-      fingerprints); do not write through it. *)
+  (** Zero-copy, read-only view over [replica]'s live store (digests,
+      fingerprints).  {!Rdb_storage.Kv} is the only writer of the
+      records: replicas share an execution memo that replays recorded
+      write sets onto states it knows by lineage, so a write through
+      this view would silently break every later replay. *)
 
   val app : t -> replica:int -> Rdb_types.App.t
   (** [replica]'s App state machine (the execution seam the protocols
       drive via their [Ctx.t]). *)
+
+  val kv : t -> replica:int -> Rdb_storage.Kv.t
+  (** The Kv behind {!app} (memo hit and miss counts). *)
 
   val replica : t -> int -> P.replica
   val client : t -> cluster:int -> P.client

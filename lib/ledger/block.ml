@@ -31,12 +31,17 @@ let compute_hash ~height ~round ~cluster ~(batch : Batch.t) ~prev_hash =
 
 (* Every honest replica appends the same block at the same height, so
    the simulator computes each block hash dozens of times with
-   identical inputs.  A small per-domain direct-mapped cache (indexed
-   by height) returns the previously computed hash when {e all} inputs
+   identical inputs.  A per-domain direct-mapped cache (indexed by
+   height) returns the previously computed hash when {e all} inputs
    match — a pure-function memo, so a hit can never change a hash, and
    divergent replicas (different prev_hash or batch) simply miss.
-   Domain-local storage keeps parallel shard executors race-free.
-   [hash_valid] deliberately bypasses the memo and recomputes. *)
+   Replicas lag each other by hundreds of heights (GeoBFT at z=4 keeps
+   64 batches per cluster in flight), so the window matches the
+   execution memo's 1024 slots (lib/storage/kv.ml): on the geobft z4
+   n7 seed-1 point it cuts hash computations for 119,793 appends from
+   53,008 (with 64 slots) to 4,576.  Domain-local storage keeps parallel
+   shard executors race-free.  [hash_valid] deliberately bypasses the
+   memo and recomputes. *)
 type memo_entry = {
   m_height : int;
   m_round : int;
@@ -46,7 +51,7 @@ type memo_entry = {
   m_hash : string;
 }
 
-let memo_slots = 64
+let memo_slots = 1024
 
 let memo_key : memo_entry option array Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Array.make memo_slots None)

@@ -83,15 +83,12 @@ module type S = sig
   (* Blocks durably applied at construction time: 0 for a fresh store,
      the recovered height for a reopened persistent store. *)
 
-  val wants_writes : t -> bool
-  (* Whether [log_block] needs the per-block write set.  [false] lets
-     the Kv skip write-set collection on the hot path entirely. *)
-
   val log_block :
-    t -> height:int -> keys:int array -> values:int64 array -> count:int -> unit
-  (* One executed block: the first [count] entries of [keys]/[values]
-     are the post-write record values, in application order.  Called
-     after the writes were applied to [records]. *)
+    t -> height:int -> keys:int array -> values:Bytes.t -> count:int -> unit
+  (* One executed block: the first [count] entries of [keys] and the
+     first [count] little-endian int64s of [values] are the written
+     keys and their post-write record values, in application order.
+     Called after the writes were applied to [records]. *)
 
   val note_restore : t -> height:int -> unit
   (* The Kv installed a full-state snapshot at [height], overwriting

@@ -49,6 +49,7 @@ type t = {
   mutable base : int; (* height of the on-disk snapshot; log covers (base, height] *)
   mutable log : out_channel option;
   mutable closed : bool;
+  mutable recovered : bool; (* opened over earlier on-disk state *)
   frame : Buffer.t; (* reused frame-assembly buffer *)
 }
 
@@ -157,7 +158,7 @@ let replay_log t =
 
 let records t = t.records
 let height t = t.height
-let wants_writes (_ : t) = true
+let recovered t = t.recovered
 
 let log_block t ~height ~keys ~values ~count =
   if not t.closed then begin
@@ -166,7 +167,7 @@ let log_block t ~height ~keys ~values ~count =
     Buffer.add_int64_le t.frame (Int64.of_int count);
     for k = 0 to count - 1 do
       Buffer.add_int64_le t.frame (Int64.of_int keys.(k));
-      Buffer.add_int64_le t.frame values.(k)
+      Buffer.add_int64_le t.frame (Bytes.get_int64_le values (k * 8))
     done;
     let body = Buffer.contents t.frame in
     let chk = checksum body ~pos:0 ~words:(2 + (count * 2)) in
@@ -217,10 +218,11 @@ let open_or_create ?(snapshot_every = 64) ?init ~dir ~n_records () =
       base = 0;
       log = None;
       closed = false;
+      recovered = false;
       frame = Buffer.create 2048;
     }
   in
-  let had_state = Sys.file_exists (snapshot_path t) || Sys.file_exists (log_path t) in
+  t.recovered <- Sys.file_exists (snapshot_path t) || Sys.file_exists (log_path t);
   (match load_snapshot t with
   | Some h ->
       t.height <- h;
@@ -229,7 +231,7 @@ let open_or_create ?(snapshot_every = 64) ?init ~dir ~n_records () =
   replay_log t;
   (* Re-anchor a recovered store so torn tails are discarded for good
      and a second crash-recovery starts from a clean snapshot. *)
-  if had_state then write_snapshot t;
+  if t.recovered then write_snapshot t;
   reset_log t;
   t
 
@@ -238,7 +240,6 @@ let packed (t : t) = Backend.Packed ((module struct
 
   let records = records
   let height = height
-  let wants_writes = wants_writes
   let log_block = log_block
   let note_restore = note_restore
   let close = close

@@ -16,7 +16,6 @@ let of_records records = { records }
 
 let records t = t.records
 let height (_ : t) = 0
-let wants_writes (_ : t) = false
 let log_block (_ : t) ~height:_ ~keys:_ ~values:_ ~count:_ = ()
 let note_restore (_ : t) ~height:_ = ()
 let close (_ : t) = ()
@@ -26,7 +25,6 @@ let packed (t : t) = Backend.Packed ((module struct
 
   let records = records
   let height = height
-  let wants_writes = wants_writes
   let log_block = log_block
   let note_restore = note_restore
   let close = close

@@ -7,7 +7,15 @@
     {!Rdb_storage.Kv}; a [Table.t] is a view over the same Bigarray
     record storage ({!of_records} wraps a live backend mirror without
     copying), with transaction semantics kept bit-identical to the Kv
-    state machine. *)
+    state machine.
+
+    A view over a deployment's records ([Deployment.table]) is
+    read-only: {!Rdb_storage.Kv} is the only writer of those records.
+    That is the premise of the cross-replica execution memo, which
+    replays a recorded write set onto every replica whose state it
+    knows by lineage; a write through a view would go unseen by the
+    memo and corrupt every later replay.  {!apply} and {!apply_batch}
+    are for standalone tables ({!create}, {!clone}). *)
 
 module Txn = Rdb_types.Txn
 
@@ -22,8 +30,8 @@ val create : ?n_records:int -> unit -> t
 
 val of_records : records -> t
 (** Zero-copy view over live backend records (counters start at 0).
-    Reads observe the backend's current state; do not write through a
-    view of records a Kv owns. *)
+    Reads observe the backend's current state.  Read-only: never
+    {!apply} to a view of records a Kv owns. *)
 
 val records : t -> records
 
@@ -37,14 +45,6 @@ val apply : t -> Txn.t -> int64
     {e order} is visible in the state (ordering bugs corrupt digests). *)
 
 val apply_batch : t -> Txn.t array -> int64 array
-
-val execute : t -> Txn.t array -> unit
-[@@ocaml.deprecated
-  "results are no longer optional: use apply_batch (or execute batches through \
-   Rdb_storage.Kv, which the fabric does) so replicas can reply with result digests."]
-(** Same state transition as {!apply_batch} with the result array
-    dropped.  Deprecated: the execution seam now returns per-batch
-    results that client replies carry; this alias remains for one PR. *)
 
 val clone : t -> t
 (** An identical, independent copy of the record store (one memcpy);

@@ -320,6 +320,191 @@ let test_mem_vs_disk_deployment () =
         (Kv.state_digest r);
       Kv.close r)
 
+(* -- the cross-replica execution memo ------------------------------------ *)
+
+module Backend = Rdb_storage.Backend
+
+(* Random write/read/scan batches over a tiny key space, so one batch
+   often writes (and reads back) the same key several times. *)
+let random_batch rng i =
+  let txns =
+    Array.init 12 (fun _ ->
+        let op =
+          match Random.State.int rng 4 with 0 -> Txn.Read | 1 -> Txn.Scan | _ -> Txn.Write
+        in
+        Txn.make ~op ~key:(Random.State.int rng 8) ~value:(Random.State.int64 rng 1_000_000L)
+          ~client_id:0 ())
+  in
+  Batch.create ~keychain:kc ~id:(5000 + i) ~cluster:0 ~origin:0 ~txns ~created:0L
+
+let read_only_batch rng i =
+  let txns =
+    Array.init 4 (fun j ->
+        Txn.make
+          ~op:(if j mod 2 = 0 then Txn.Read else Txn.Scan)
+          ~key:(Random.State.int rng n_records) ~value:(Random.State.int64 rng 64L) ~client_id:0 ())
+  in
+  Batch.create ~keychain:kc ~id:(9000 + i) ~cluster:0 ~origin:0 ~txns ~created:0L
+
+let check_result msg (a : App.result) (b : App.result) =
+  Alcotest.(check string) (msg ^ ": result digest") a.App.digest b.App.digest;
+  Alcotest.(check (list int)) (msg ^ ": op counts")
+    [ a.App.reads; a.App.writes; a.App.scans; a.App.scanned_rows ]
+    [ b.App.reads; b.App.writes; b.App.scans; b.App.scanned_rows ]
+
+(* A Kv and its independent twin (own memo) hold the same state. *)
+let check_twin msg kv twin =
+  Alcotest.(check int) (msg ^ ": height") (Kv.height twin) (Kv.height kv);
+  Alcotest.(check bool) (msg ^ ": records") true (Kv.records kv = Kv.records twin);
+  Alcotest.(check string) (msg ^ ": state digest") (Kv.state_digest twin) (Kv.state_digest kv)
+
+let test_memo_matches_independent () =
+  let rng = Random.State.make [| 12 |] in
+  let master = Backend.init_records ~n_records in
+  let memo = Kv.create_memo () in
+  let shared = Array.init 3 (fun _ -> Kv.of_master ~memo master) in
+  let twins = Array.init 3 (fun _ -> Kv.of_master master) in
+  for i = 0 to 39 do
+    let b = if i mod 4 = 3 then read_only_batch rng i else random_batch rng i in
+    let step kv = if i mod 4 = 3 then Kv.read kv b else Kv.apply kv b in
+    Array.iteri
+      (fun r kv ->
+        check_result (Printf.sprintf "batch %d replica %d" i r) (step twins.(r)) (step kv))
+      shared
+  done;
+  Array.iteri (fun r kv -> check_twin (Printf.sprintf "replica %d" r) kv twins.(r)) shared;
+  (* One execution per batch: the first replica misses, the others hit. *)
+  let counts f = Array.to_list (Array.map f shared) in
+  Alcotest.(check (list int)) "misses" [ 40; 0; 0 ] (counts Kv.memo_misses);
+  Alcotest.(check (list int)) "hits" [ 0; 40; 40 ] (counts Kv.memo_hits)
+
+let test_memo_divergence () =
+  let rng = Random.State.make [| 7 |] in
+  let master = Backend.init_records ~n_records in
+  let memo = Kv.create_memo () in
+  let a = Kv.of_master ~memo master and b = Kv.of_master ~memo master in
+  let a' = Kv.of_master master and b' = Kv.of_master master in
+  let common = random_batch rng 0 in
+  ignore (Kv.apply a common);
+  ignore (Kv.apply b common);
+  ignore (Kv.apply a' common);
+  ignore (Kv.apply b' common);
+  (* Diverge at height 1, then apply one more common batch. *)
+  let x = random_batch rng 1 and y = random_batch rng 2 in
+  check_result "a diverges" (Kv.apply a' x) (Kv.apply a x);
+  check_result "b diverges" (Kv.apply b' y) (Kv.apply b y);
+  let c = random_batch rng 3 in
+  check_result "a after divergence" (Kv.apply a' c) (Kv.apply a c);
+  check_result "b after divergence" (Kv.apply b' c) (Kv.apply b c);
+  check_twin "a" a a';
+  check_twin "b" b b';
+  Alcotest.(check int) "b hit only the common prefix" 1 (Kv.memo_hits b)
+
+let test_memo_batch_copy_misses () =
+  let rng = Random.State.make [| 3 |] in
+  let master = Backend.init_records ~n_records in
+  let memo = Kv.create_memo () in
+  let a = Kv.of_master ~memo master and b = Kv.of_master ~memo master in
+  let x = random_batch rng 0 in
+  let copy = { x with Batch.txns = Array.copy x.Batch.txns } in
+  Alcotest.(check string) "equal digest" x.Batch.digest copy.Batch.digest;
+  let ra = Kv.apply a x in
+  check_result "copy computes the same result" ra (Kv.apply b copy);
+  Alcotest.(check int) "the copy missed" 1 (Kv.memo_misses b);
+  Alcotest.(check int) "and did not hit" 0 (Kv.memo_hits b)
+
+let test_memo_restore_leaves_lineage () =
+  (* Two Kvs on the shared root each install a different snapshot at
+     the same height: were restore to keep the root lineage, the second
+     would replay the first's next transition onto another state. *)
+  let rng = Random.State.make [| 5 |] in
+  let master = Backend.init_records ~n_records in
+  let snap_after batch =
+    let src = Kv.of_master master in
+    ignore (Kv.apply src batch);
+    (Kv.snapshot src, src)
+  in
+  let snap_x, twin_a = snap_after (random_batch rng 0) in
+  let snap_y, twin_b = snap_after (random_batch rng 1) in
+  let memo = Kv.create_memo () in
+  let a = Kv.of_master ~memo master and b = Kv.of_master ~memo master in
+  Kv.restore a snap_x;
+  Kv.restore b snap_y;
+  let w = random_batch rng 2 in
+  check_result "a after restore" (Kv.apply twin_a w) (Kv.apply a w);
+  check_result "b after restore" (Kv.apply twin_b w) (Kv.apply b w);
+  check_twin "a" a twin_a;
+  check_twin "b" b twin_b;
+  Alcotest.(check int) "b missed" 1 (Kv.memo_misses b)
+
+let test_memo_disk_hits_log_blocks () =
+  let rng = Random.State.make [| 9 |] in
+  let master = Backend.init_records ~n_records in
+  with_dir (fun dir ->
+      let memo = Kv.create_memo () in
+      let open_store r =
+        Kv.disk ~memo ~snapshot_every:1024 ~init:master ~dir:(Filename.concat dir r) ~n_records ()
+      in
+      let a = open_store "a" and b = open_store "b" in
+      let batches = Array.init 11 (random_batch rng) in
+      for i = 0 to 9 do
+        let ra = Kv.apply a batches.(i) in
+        check_result (Printf.sprintf "block %d" i) ra (Kv.apply b batches.(i))
+      done;
+      Alcotest.(check int) "b replayed every block" 10 (Kv.memo_hits b);
+      (* Crash b (abandon it unclosed) and recover from its log alone. *)
+      let r = open_store "b" in
+      Alcotest.(check int) "recovered height" 10 (Kv.height r);
+      Alcotest.(check string) "recovered state" (Kv.state_digest a) (Kv.state_digest r);
+      let ra = Kv.apply a batches.(10) in
+      check_result "recovered store" ra (Kv.apply r batches.(10));
+      (* A store reopened over earlier state never joins the shared
+         root, even at height 0: here its snapshot holds another image,
+         so replaying the root's height-0 transition would be wrong. *)
+      let other = Backend.copy_records master in
+      Bigarray.Array1.fill other 7L;
+      let other_dir = Filename.concat dir "other" in
+      Kv.close (Kv.disk ~init:other ~dir:other_dir ~n_records ());
+      Kv.close (Kv.disk ~init:other ~dir:other_dir ~n_records ());
+      let reopened = Kv.disk ~memo ~init:master ~dir:other_dir ~n_records () in
+      let twin = Kv.of_master other in
+      Alcotest.(check int) "reopened at genesis" 0 (Kv.height reopened);
+      check_result "reopened store" (Kv.apply twin batches.(0)) (Kv.apply reopened batches.(0));
+      check_twin "reopened store" reopened twin;
+      List.iter Kv.close [ a; b; r; reopened ])
+
+module GeoDep = Rdb_fabric.Deployment.Make (Rdb_geobft.Replica)
+
+let test_memo_one_execution_per_height () =
+  let cfg = Itest.small_cfg ~z:2 ~n:4 () in
+  let d = GeoDep.create ~n_records:1000 cfg in
+  ignore (GeoDep.run ~warmup:(Time.sec 1) ~measure:(Time.sec 2) d);
+  let kvs = List.init (Config.n_replicas cfg) (fun replica -> GeoDep.kv d ~replica) in
+  let sum f = List.fold_left (fun acc kv -> acc + f kv) 0 kvs in
+  let heights = List.fold_left (fun acc kv -> max acc (Kv.height kv)) 0 kvs in
+  Alcotest.(check bool) "made progress" true (heights > 10);
+  Alcotest.(check int) "one miss per distinct height" heights (sum Kv.memo_misses);
+  Alcotest.(check int) "every other apply hit" (sum Kv.height - heights) (sum Kv.memo_hits);
+  GeoDep.close d
+
+(* [Deployment.close] deletes the temp store root it created itself. *)
+let test_disk_deployment_removes_temp_store () =
+  let tmp = Filename.get_temp_dir_name () in
+  let stores () =
+    Sys.readdir tmp |> Array.to_list
+    |> List.filter (fun e -> String.starts_with ~prefix:"rdb-store-" e)
+    |> List.sort compare
+  in
+  let before = stores () in
+  let cfg = { (Itest.small_cfg ~z:1 ~n:4 ()) with Config.storage = Config.Disk } in
+  let d = Dep.create ~n_records:1000 cfg in
+  ignore (Dep.run ~warmup:(Time.sec 1) ~measure:(Time.sec 1) d);
+  Alcotest.(check bool) "a temp store exists while running" true
+    (List.exists (fun e -> not (List.mem e before)) (stores ()));
+  Dep.close d;
+  Alcotest.(check (list string)) "no new rdb-store-* left behind" []
+    (List.filter (fun e -> not (List.mem e before)) (stores ()))
+
 let suite =
   [
     ("backend digest equivalence", `Quick, test_backend_digest_equivalence);
@@ -331,4 +516,11 @@ let suite =
     ("recovery idempotent, re-anchored", `Quick, test_recovery_idempotent_and_reanchored);
     ("installed snapshot persists", `Quick, test_installed_snapshot_persists);
     ("mem vs disk deployments identical", `Quick, test_mem_vs_disk_deployment);
+    ("memo matches independent Kvs", `Quick, test_memo_matches_independent);
+    ("memo divergence falls back", `Quick, test_memo_divergence);
+    ("memo batch copy misses", `Quick, test_memo_batch_copy_misses);
+    ("memo restore leaves lineage", `Quick, test_memo_restore_leaves_lineage);
+    ("memo disk hits log blocks", `Quick, test_memo_disk_hits_log_blocks);
+    ("memo one execution per height", `Quick, test_memo_one_execution_per_height);
+    ("disk deployment removes temp store", `Quick, test_disk_deployment_removes_temp_store);
   ]

@@ -134,12 +134,12 @@ let smoke_scenarios () =
         Scenario.Geobft
         (Config.make ~z:8 ~n:31 ~clients:16_000 ~seed:1 ()) ]
 
-let smoke_runs () =
+let smoke_runs ?(trace = false) () =
   List.map
     (fun ((s : Scenario.t), r) ->
       say "  %s\n%!" (Report.to_string r);
       (s, r))
-    (sweep (smoke_scenarios ()))
+    (sweep (List.map (fun s -> { s with Scenario.trace }) (smoke_scenarios ())))
 
 let run_smoke () =
   timed "smoke"
@@ -150,12 +150,12 @@ let run_smoke () =
 
 (* Baseline file: written by --write-baseline, committed as
    bench/baseline.json, checked by --check (the CI regression gate).
-   Since schema 2 the runs are keyed by Scenario.to_string ids, so the
-   gate re-derives its matrix from the baseline file itself. *)
-(* Per-metric tolerance bands (schema 3).  Simulated throughput moves
-   more than latency when event interleavings shift, so the two
-   metrics get independent bands; schema-2 files (one shared
-   [tolerance_pct]) are still accepted. *)
+   The runs are keyed by Scenario.to_string ids, so the gate
+   re-derives its matrix from the baseline file itself.  Schema 3
+   carries per-metric tolerance bands: simulated throughput moves more
+   than latency when event interleavings shift, so the two metrics get
+   independent bands.  The trace digests of the same runs are
+   committed next to it (bench/digests.txt) and gated exactly. *)
 let default_thr_tolerance = 10.0
 let default_lat_tolerance = 10.0
 
@@ -205,31 +205,23 @@ let parse_baseline path =
   | Error msg -> fail "cannot parse %s: %s" path msg
   | Ok doc ->
       (match Option.bind (Json.member "schema" doc) Json.to_int with
-      | Some (2 | 3) -> ()
+      | Some 3 -> ()
       | Some v ->
           fail
-            "%s has schema %d, expected 2 or 3 (re-baseline with: dune exec bench/main.exe -- \
+            "%s has schema %d, expected 3 (re-baseline with: dune exec bench/main.exe -- \
              --write-baseline %s)"
             path v path
       | None -> fail "%s carries no schema field" path);
-      let shared =
-        match Option.bind (Json.member "tolerance_pct" doc) Json.to_float with
-        | Some t -> t
-        | None -> default_thr_tolerance
-      in
-      let per_metric name fallback =
+      let tolerance name =
         match
           Option.bind (Json.member "tolerances" doc) (fun t ->
               Option.bind (Json.member name t) Json.to_float)
         with
         | Some t -> t
-        | None -> fallback
+        | None -> fail "%s has no tolerance for %s" path name
       in
       let tolerances =
-        {
-          tol_thr = per_metric "throughput_txn_s" shared;
-          tol_lat = per_metric "avg_latency_ms" shared;
-        }
+        { tol_thr = tolerance "throughput_txn_s"; tol_lat = tolerance "avg_latency_ms" }
       in
       let runs =
         match Option.bind (Json.member "runs" doc) Json.to_list with
@@ -248,10 +240,65 @@ let parse_baseline path =
       in
       (tolerances, List.map parse_run runs)
 
+(* Trace digests, one "<digest> <scenario id>" line per traced run, in
+   run order: written to BENCH_digests.txt by every --check (a CI
+   artifact) and to bench/digests.txt by --write-baseline. *)
+let digests_path baseline = Filename.concat (Filename.dirname baseline) "digests.txt"
+
+let digest_lines runs =
+  List.map
+    (fun ((s : Scenario.t), (r : Report.t)) ->
+      let digest =
+        match r.Report.trace with Some tr -> tr.Rdb_trace.Trace.digest_hex | None -> "-"
+      in
+      (Scenario.to_string s, digest))
+    runs
+
+let write_digests path lines =
+  let oc = open_out path in
+  List.iter (fun (id, digest) -> Printf.fprintf oc "%s %s\n" digest id) lines;
+  close_out oc;
+  say "wrote %s (%d scenarios)\n%!" path (List.length lines)
+
+let read_digests path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match String.index_opt line ' ' with
+         | Some i ->
+             Some (String.sub line (i + 1) (String.length line - i - 1), String.sub line 0 i)
+         | None -> None)
+
+(* The exact half of the gate: the simulator is deterministic, so every
+   traced run must reproduce its committed digest to the byte.  Any
+   changed, missing or extra line is a failure naming its scenario.
+   Returns the number of failures. *)
+let check_digests path fresh =
+  let committed = read_digests path in
+  let failures = ref 0 in
+  let fail fmt =
+    incr failures;
+    say fmt
+  in
+  List.iter
+    (fun (id, got) ->
+      match List.assoc_opt id committed with
+      | None -> fail "  EXTRA    %s: digest %s has no line in %s\n%!" id got path
+      | Some want when want <> got -> fail "  CHANGED  %s: digest %s, committed %s\n%!" id got want
+      | Some _ -> say "  SAME     %s: digest identical\n%!" id)
+    fresh;
+  List.iter
+    (fun (id, _) ->
+      if not (List.mem_assoc id fresh) then
+        fail "  MISSING  %s: committed digest not reproduced\n%!" id)
+    committed;
+  !failures
+
 (* The CI regression gate: rerun every baseline scenario (through the
    sweep engine), compare per-scenario throughput and average latency
    against the committed values, exit non-zero if any metric drifts
-   beyond the tolerance.  The current run matrix is cross-checked
+   beyond the tolerance or any trace digest differs from
+   bench/digests.txt.  The current run matrix is cross-checked
    against the baseline's coverage: a matrix scenario with no baseline
    entry is a MISSING failure (otherwise newly added scenarios would
    silently escape the gate).  Good-direction drift beyond the band is
@@ -303,24 +350,12 @@ let run_check ?(reps = 3) path =
           (List.map (fun ((s : Scenario.t), r) -> (Scenario.to_string s, r)) runs);
         runs)
   in
-  (* Trace digests, one line per scenario (deterministic: any rep, any
-     -j, same digest) — uploaded as a CI artifact next to
-     BENCH_results.json so digests are diffable across PRs. *)
-  (match rep_runs with
-  | first :: _ ->
-      let oc = open_out "BENCH_digests.txt" in
-      List.iter
-        (fun ((s : Scenario.t), (r : Report.t)) ->
-          let digest =
-            match r.Report.trace with
-            | Some tr -> tr.Rdb_trace.Trace.digest_hex
-            | None -> "-"
-          in
-          Printf.fprintf oc "%s %s\n" digest (Scenario.to_string s))
-        first;
-      close_out oc;
-      say "wrote BENCH_digests.txt (%d scenarios)\n%!" (List.length first)
-  | [] -> ());
+  (* Trace digests (deterministic: any rep, any -j, same digest) —
+     uploaded as a CI artifact next to BENCH_results.json, and gated
+     exactly against the committed file. *)
+  let digests = digest_lines (List.hd rep_runs) in
+  write_digests "BENCH_digests.txt" digests;
+  let digest_failures = check_digests (digests_path path) digests in
   let failures = ref 0 and improved = ref 0 in
   let check id metric ~base ~got =
     let tolerance = tolerance_of tolerances metric in
@@ -354,8 +389,13 @@ let run_check ?(reps = 3) path =
       "bench --check: %d metric(s) improved beyond the band; consider refreshing the \
        baseline (dune exec bench/main.exe -- --write-baseline %s)\n"
       !improved path;
-  if !failures > 0 || missing <> [] then begin
+  if !failures > 0 || missing <> [] || digest_failures > 0 then begin
     if !failures > 0 then say "bench --check: %d metric(s) regressed beyond tolerance\n" !failures;
+    if digest_failures > 0 then
+      say
+        "bench --check: %d trace digest line(s) differ from %s (re-baseline with: dune exec \
+         bench/main.exe -- --write-baseline %s)\n"
+        digest_failures (digests_path path) path;
     if missing <> [] then
       say
         "bench --check: %d run-matrix scenario(s) missing from %s (re-baseline with: dune exec \
@@ -363,7 +403,9 @@ let run_check ?(reps = 3) path =
         (List.length missing) path path;
     exit 1
   end;
-  say "bench --check: all %d scenarios within tolerance of baseline (median of %d)\n"
+  say
+    "bench --check: all %d scenarios within tolerance of baseline (median of %d), trace \
+     digests identical\n"
     (List.length baseline) reps
 
 (* -- Bechamel micro-benchmarks ----------------------------------------------- *)
@@ -577,7 +619,12 @@ let () =
       run_check ~reps path;
       exit 0
   | None, Some path ->
-      write_baseline path (smoke_runs ());
+      (* Traced runs, so the digests come along; tracing never perturbs
+         the simulated schedule, so the numbers are the untraced ones. *)
+      let runs = smoke_runs ~trace:true () in
+      write_baseline path
+        (List.map (fun ((s : Scenario.t), r) -> ({ s with Scenario.trace = false }, r)) runs);
+      write_digests (digests_path path) (digest_lines runs);
       exit 0
   | None, None -> ());
   let targets =

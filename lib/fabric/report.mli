@@ -59,8 +59,8 @@ val to_string : t -> string
     [to_json]/[of_json] are exact inverses: every field (including the
     optional trace summary) survives the round-trip, floats included
     (shortest-round-trip decimal encoding).  The [schema_version]
-    field is embedded in every document; [of_json] accepts documents
-    up to the current version and refuses newer ones. *)
+    field is embedded in every document; [of_json] accepts only the
+    current version and refuses older and newer ones alike. *)
 
 val schema_version : int
 

@@ -170,10 +170,6 @@ let set_defer_hook t h =
   t.defer_hook <- h;
   t.sched_calls <- 0
 
-(* Callers with a fast path that bypasses per-schedule sequencing (the
-   network's pooled multicast) must fall back while exploration is on. *)
-let defer_active t = t.defer_hook <> None
-
 let schedule_calls t = t.sched_calls
 
 (* -- event records ------------------------------------------------------ *)
@@ -288,7 +284,7 @@ let schedule_fanout_sorted s ~times ~seqs ~deliver =
    [--jobs] is untouched. *)
 let fanout t ~shards ~times ~deliver =
   match current_shard t with
-  | Some s when t.defer_hook = None ->
+  | Some s when t.defer_hook = None && Array.length times > 1 ->
       let k = Array.length times in
       let z = Array.length t.shards in
       let counts = Array.make z 0 in
@@ -331,8 +327,9 @@ let fanout t ~shards ~times ~deliver =
         end
       done
   | _ ->
-      (* Outside event execution, or under schedule exploration: the
-         per-recipient path (it consults the defer hook per call). *)
+      (* A single entry, a call from outside event execution, or
+         schedule exploration: the per-entry schedules themselves (they
+         consult the defer hook per call). *)
       Array.iteri
         (fun i sh -> ignore (schedule_at_shard t ~shard:sh ~at:times.(i) (fun () -> deliver i)))
         shards

@@ -26,6 +26,13 @@
      engine's RNG only when a rule is installed, so fault-free runs
      consume an identical random stream to builds without this
      machinery.
+   - One send path: [send] is a one-recipient [multicast].  Every
+     per-message effect (interposition, drop rules, loss, the wire
+     model, the exploration hook, duplication) runs per recipient in
+     destination order; the resulting deliveries, duplicate copies and
+     delayed re-sends are staged and handed to the engine as one pooled
+     fan-out that reproduces the schedule of individual sends exactly
+     (DESIGN.md §17).
 
    The payload type is polymorphic: each deployment instantiates the
    network with its protocol's message type, so no serialization round
@@ -178,11 +185,10 @@ let transmission_ns ~size_bytes ~bw_mbps =
   let bytes_per_ns = bw_mbps *. 1e6 /. 8.0 /. 1e9 in
   Int64.of_float (Float.of_int size_bytes /. bytes_per_ns)
 
-(* Send one message.  [size] is the wire size in bytes (headers and
-   authentication tags included by the caller's sizing function). *)
-(* [Hashtbl.length] guard: the common (healthy) case pays no tuple-key
-   allocation and no hash lookup; the RNG is still only consumed when a
-   rule exists for this exact link, so random streams are unchanged. *)
+(* Per-link loss draw.  [Hashtbl.length] guard: the common (healthy)
+   case pays no tuple-key allocation and no hash lookup; the RNG is
+   still only consumed when a rule exists for this exact link, so random
+   streams are unchanged. *)
 let lossy t ~src ~dst =
   Hashtbl.length t.link_loss > 0
   &&
@@ -195,13 +201,11 @@ let trace_drop t ~src ~dst ~size ~reason =
   | None -> ()
   | Some tr -> Rdb_trace.Trace.net_drop tr ~src ~dst ~size ~at:(Engine.now t.engine) ~reason
 
-(* The healthy wire model shared by [send_admitted] and [multicast]:
-   stats, WAN-egress + uplink serialization, the net_send trace span,
-   base latency and the jitter draw.  Returns the arrival time.  Every
-   side effect (busy-pipe updates, stats, trace, RNG consumption)
-   happens here in call order, so a pooled multicast that calls this
-   once per recipient in destination order is indistinguishable from
-   the per-recipient send path. *)
+(* The healthy wire model: stats, WAN-egress + uplink serialization,
+   the net_send trace span, base latency and the jitter draw.  Returns
+   (earliest legal arrival, arrival).  Every side effect (busy-pipe
+   updates, stats, trace, RNG consumption) happens here, once per
+   admitted recipient, in the order the send loop reaches them. *)
 let wire_arrival t ~src ~dst ~size =
   let now = Engine.now t.engine in
   let admitted = now in
@@ -242,9 +246,36 @@ let wire_arrival t ~src ~dst ~size =
      so any time >= the floor is producible by the latency model. *)
   (Time.add depart delay, Time.add depart (Time.add delay jitter))
 
-(* The post-interposition send path: everything the wire does to a
-   message the (possibly corrupted) sender actually emitted. *)
-let send_admitted t ~src ~dst ~size msg =
+(* -- the send path ------------------------------------------------------ *)
+
+(* One engine schedule a send makes, staged instead of performed: at
+   [at] on [shard], hand [msg] to [dst] (a delivery or a dup copy) or,
+   for a delayed interposer emission whose hold expires then, [readmit]
+   it to the wire on the sender's shard.  A send collects these newest
+   first in one list; its order is the order the engine reserves
+   sequence numbers in (Engine.fanout). *)
+type 'm staged = { at : Time.t; shard : int; dst : int; msg : 'm; readmit : bool }
+
+let deliver_traced t ~src ~dst ~size msg =
+  if t.crashed.(dst) then trace_drop t ~src ~dst ~size ~reason:"dst-crashed"
+  else
+    match t.interpose with
+    | Some ip when not (ip.on_recv ~src ~dst msg) ->
+        (* A corrupted receiver ignoring this peer: judged at delivery
+           time, so receive-side rules are windowed by arrival like
+           every other fault. *)
+        trace_drop t ~src ~dst ~size ~reason:"adversary-deaf"
+    | _ ->
+        (match t.trace with
+        | None -> ()
+        | Some tr -> Rdb_trace.Trace.net_deliver tr ~src ~dst ~size ~at:(Engine.now t.engine));
+        t.deliver ~src ~dst msg
+
+(* The post-interposition half for one recipient: everything the wire
+   does to a message the (possibly corrupted) sender actually emitted —
+   drop rules, the loss draw, the wire model, the delivery hook, and
+   the dup draw. *)
+let admit t staged ~src ~dst ~size msg =
   if List.exists (fun (_, rule) -> rule ~src ~dst) t.drop_rules then begin
     Stats.count_dropped t.stats ~size;
     trace_drop t ~src ~dst ~size ~reason:"rule"
@@ -267,111 +298,78 @@ let send_admitted t ~src ~dst ~size msg =
             (match last with None -> arrive | Some l -> Time.max l arrive);
           arrive
     in
-    let deliver_traced () =
-      if t.crashed.(dst) then trace_drop t ~src ~dst ~size ~reason:"dst-crashed"
-      else
-        match t.interpose with
-        | Some ip when not (ip.on_recv ~src ~dst msg) ->
-            (* A corrupted receiver ignoring this peer: judged at
-               delivery time, so receive-side rules are windowed by
-               arrival like every other fault. *)
-            trace_drop t ~src ~dst ~size ~reason:"adversary-deaf"
-        | _ ->
-            (match t.trace with
-            | None -> ()
-            | Some tr -> Rdb_trace.Trace.net_deliver tr ~src ~dst ~size ~at:(Engine.now t.engine));
-            t.deliver ~src ~dst msg
-    in
-    let dshard = t.shard_of dst in
-    ignore (Engine.schedule_at_shard t.engine ~shard:dshard ~at:arrive deliver_traced);
+    let e = { at = arrive; shard = t.shard_of dst; dst; msg; readmit = false } in
+    staged := e :: !staged;
     (* Duplication: deliver a second copy shortly after the first (a
        retransmitted or re-routed frame); receivers must deduplicate. *)
     if Hashtbl.length t.link_dup > 0 then
       match Hashtbl.find_opt t.link_dup (src, dst) with
       | Some p when Rdb_prng.Rng.float (Engine.rng t.engine) < p ->
-          let again = Time.add arrive (Time.of_ms_f 0.05) in
-          ignore (Engine.schedule_at_shard t.engine ~shard:dshard ~at:again deliver_traced)
+          staged := { e with at = Time.add arrive (Time.of_ms_f 0.05) } :: !staged
       | _ -> ()
   end
 
-let send t ~src ~dst ~size msg =
-  if t.crashed.(src) then ()
-  else
-    match t.interpose with
-    | None -> send_admitted t ~src ~dst ~size msg
-    | Some ip -> (
-        match ip.on_send ~src ~dst msg with
-        | [] ->
-            (* Targeted silence: the message never touches the wire
-               (no bandwidth charged), but the drop is visible to the
-               tracer and the stats like any other discard. *)
-            Stats.count_dropped t.stats ~size;
-            trace_drop t ~src ~dst ~size ~reason:"adversary"
-        | emissions ->
-            let now = Engine.now t.engine in
-            List.iter
-              (fun (m, after) ->
-                if Time.(after <= Time.zero) then send_admitted t ~src ~dst ~size m
-                else
-                  (* Delayed / slow-drip sending: the emission enters
-                     the normal wire model when the hold expires (and
-                     not at all if the sender crashed meanwhile). *)
-                  ignore
-                    (Engine.schedule_at t.engine ~at:(Time.add now after) (fun () ->
-                         if not t.crashed.(src) then send_admitted t ~src ~dst ~size m)))
-              emissions)
+(* The interposition half for one recipient: a corrupted sender's
+   [on_send] turns the message into its actual emissions. *)
+let emit t staged ~src ~dst ~size msg =
+  match t.interpose with
+  | None -> admit t staged ~src ~dst ~size msg
+  | Some ip -> (
+      match ip.on_send ~src ~dst msg with
+      | [] ->
+          (* Targeted silence: the message never touches the wire (no
+             bandwidth charged), but the drop is visible to the tracer
+             and the stats like any other discard. *)
+          Stats.count_dropped t.stats ~size;
+          trace_drop t ~src ~dst ~size ~reason:"adversary"
+      | emissions ->
+          let now = Engine.now t.engine in
+          List.iter
+            (fun (m, after) ->
+              if Time.(after <= Time.zero) then admit t staged ~src ~dst ~size m
+              else
+                (* Delayed / slow-drip sending: the emission enters the
+                   wire model when the hold expires. *)
+                let shard = Engine.current_shard_id t.engine in
+                staged :=
+                  { at = Time.add now after; shard; dst; msg = m; readmit = true } :: !staged)
+            emissions)
 
-(* Broadcast one message to [dsts] (in order).
-
-   Fast path: on the healthy wire — no interposer, no delivery hook, no
-   drop rules, no degraded links, no schedule exploration — an
-   n-recipient broadcast runs the per-recipient wire model once per
-   destination (identical side effects, stats, and RNG stream to n
-   [send] calls) but hands the engine ONE pooled fan-out per shard
-   instead of n heap inserts, with a single shared delivery closure
-   instead of n per-recipient closures.  The engine reserves the same
-   sequence numbers n individual schedules would have consumed, so the
-   executed event schedule is byte-identical (see Engine.fanout and
-   DESIGN.md §17).
-
-   Any installed fault/exploration machinery falls back to the
-   per-recipient path: those features key off per-send state (loss and
-   dup draws, interposer emissions, hook counters) that the pooled
-   representation deliberately does not model. *)
-let multicast t ~src ~dsts ~size msg =
-  match dsts with
+(* Hand everything a send staged to the engine in one pooled fan-out. *)
+let rec flush t staged ~src ~size =
+  match !staged with
   | [] -> ()
-  | [ dst ] -> send t ~src ~dst ~size msg
-  | _ ->
-      if t.crashed.(src) then ()
-      else if
-        t.interpose <> None || t.dhook <> None || t.drop_rules <> []
-        || Hashtbl.length t.link_loss > 0
-        || Hashtbl.length t.link_dup > 0
-        || Engine.defer_active t.engine
-      then List.iter (fun dst -> send t ~src ~dst ~size msg) dsts
-      else begin
-        let dsts = Array.of_list dsts in
-        let k = Array.length dsts in
-        let arrives = Array.make k Time.zero in
-        let shards = Array.make k 0 in
-        for i = 0 to k - 1 do
-          let dst = dsts.(i) in
-          let _, arrive = wire_arrival t ~src ~dst ~size in
-          arrives.(i) <- arrive;
-          shards.(i) <- t.shard_of dst
-        done;
-        Engine.fanout t.engine ~shards ~times:arrives ~deliver:(fun i ->
-            let dst = dsts.(i) in
-            if t.crashed.(dst) then trace_drop t ~src ~dst ~size ~reason:"dst-crashed"
-            else
-              match t.interpose with
-              | Some ip when not (ip.on_recv ~src ~dst msg) ->
-                  trace_drop t ~src ~dst ~size ~reason:"adversary-deaf"
-              | _ ->
-                  (match t.trace with
-                  | None -> ()
-                  | Some tr ->
-                      Rdb_trace.Trace.net_deliver tr ~src ~dst ~size ~at:(Engine.now t.engine));
-                  t.deliver ~src ~dst msg)
-      end
+  | newest_first ->
+      let entries = Array.of_list (List.rev newest_first) in
+      Engine.fanout t.engine
+        ~shards:(Array.map (fun e -> e.shard) entries)
+        ~times:(Array.map (fun e -> e.at) entries)
+        ~deliver:(fun i ->
+          let { dst; msg; readmit; _ } = entries.(i) in
+          if not readmit then deliver_traced t ~src ~dst ~size msg
+          else if not t.crashed.(src) then begin
+            (* Not at all if the sender crashed during the hold. *)
+            let staged = ref [] in
+            admit t staged ~src ~dst ~size msg;
+            flush t staged ~src ~size
+          end)
+
+(* Broadcast one message to [dsts], in order.  [size] is the wire size
+   in bytes (headers and authentication tags included by the caller's
+   sizing function).
+
+   This is the only way a message reaches the engine.  Every effect —
+   interposition, drop rules, the loss draw, the wire model, the
+   delivery hook, the dup draw — runs per recipient in destination
+   order, exactly as [k] independent sends would; only the scheduling
+   is pooled: one [Engine.fanout] over the staged entries reserves the
+   sequence numbers the individual schedules would have taken, so the
+   executed schedule is byte-identical (DESIGN.md §17). *)
+let multicast t ~src ~dsts ~size msg =
+  if not t.crashed.(src) then begin
+    let staged = ref [] in
+    List.iter (fun dst -> emit t staged ~src ~dst ~size msg) dsts;
+    flush t staged ~src ~size
+  end
+
+let send t ~src ~dst ~size msg = multicast t ~src ~dsts:[ dst ] ~size msg

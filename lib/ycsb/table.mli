@@ -1,23 +1,13 @@
 (** The replicated YCSB table (paper §4: "an active set of 600k
-    records", identically initialized on every replica).  Deterministic
-    execution of the same batch sequence yields identical state
-    digests on all non-faulty replicas.
+    records", identically initialized on every replica).
 
-    Since the storage redesign the authoritative execution path is
-    {!Rdb_storage.Kv}; a [Table.t] is a view over the same Bigarray
-    record storage ({!of_records} wraps a live backend mirror without
-    copying), with transaction semantics kept bit-identical to the Kv
-    state machine.
-
-    A view over a deployment's records ([Deployment.table]) is
-    read-only: {!Rdb_storage.Kv} is the only writer of those records.
-    That is the premise of the cross-replica execution memo, which
-    replays a recorded write set onto every replica whose state it
-    knows by lineage; a write through a view would go unseen by the
-    memo and corrupt every later replay.  {!apply} and {!apply_batch}
-    are for standalone tables ({!create}, {!clone}). *)
-
-module Txn = Rdb_types.Txn
+    Execution lives in {!Rdb_storage.Kv}, the only writer of a
+    deployment's records.  A [Table.t] is a read-only view over the
+    same Bigarray record storage ({!of_records} wraps a live backend
+    mirror without copying) for reading values, fingerprints and state
+    digests.  That single writer is the premise of the cross-replica
+    execution memo, which replays a recorded write set onto every
+    replica whose state it knows by lineage. *)
 
 type records = Rdb_storage.Backend.records
 
@@ -27,32 +17,17 @@ val default_records : int
 (** 600_000, as in the paper. *)
 
 val create : ?n_records:int -> unit -> t
+(** A fresh table in the shared initial state. *)
 
 val of_records : records -> t
-(** Zero-copy view over live backend records (counters start at 0).
-    Reads observe the backend's current state.  Read-only: never
-    {!apply} to a view of records a Kv owns. *)
+(** Zero-copy view over live backend records.  Reads observe the
+    backend's current state. *)
 
 val records : t -> records
 
 val n_records : t -> int
 
 val read : t -> key:int -> int64
-
-val apply : t -> Txn.t -> int64
-(** Apply one transaction; returns the read result, the scan fold, or
-    the written value.  Writes mix in the previous value, so execution
-    {e order} is visible in the state (ordering bugs corrupt digests). *)
-
-val apply_batch : t -> Txn.t array -> int64 array
-
-val clone : t -> t
-(** An identical, independent copy of the record store (one memcpy);
-    read/write counters start fresh, as after {!create}. *)
-
-val writes : t -> int
-val reads : t -> int
-val scans : t -> int
 
 val state_digest : t -> string
 (** SHA-256 over the full state (O(n); tests and checkpoint audits). *)

@@ -474,3 +474,138 @@ let suite =
       ("stats count_dropped", `Quick, test_stats_count_dropped);
       ("network dropped bytes", `Quick, test_network_dropped_bytes);
     ]
+
+(* -- One send path: multicast = per-recipient sends ---------------------- *)
+
+(* [multicast ~dsts] must be indistinguishable from [List.iter send]
+   over the same [dsts] under every hook the network supports: same
+   deliveries (time, endpoints, payload, order), same traffic counters,
+   and the engine's RNG streams left at the same point.  Senders act
+   from inside events (where the engine pools fan-outs), at equal
+   timestamps, and receivers answer from their delivery callbacks, so
+   the comparison covers nested sends and, on the 2-shard engine,
+   cross-shard staging.  Zero-size messages on a jitter-free wire
+   arrive at equal times in each region, so the runs also pin how
+   same-time ties within one fan-out break. *)
+
+let equiv_nodes = 8 (* two regions of four *)
+
+let run_sends ~shards ~jitter ~install ~pooled =
+  let engine =
+    if shards = 1 then Engine.create ~seed:7 ()
+    else Engine.create ~seed:7 ~shards ~lookahead:(Time.ms 10) ()
+  in
+  let shard_of node = if shards = 1 then 0 else node / 4 in
+  let log = ref [] in
+  let net = ref None in
+  let send ~src ~dsts m =
+    let net = Option.get !net in
+    let size = if m.[0] = 'b' then 0 else 300 in
+    if pooled then Network.multicast net ~src ~dsts ~size m
+    else List.iter (fun dst -> Network.send net ~src ~dst ~size m) dsts
+  in
+  let deliver ~src ~dst m =
+    log := Printf.sprintf "%Ld %d->%d %s" (Engine.now engine) src dst m :: !log;
+    (* Even receivers answer first-round traffic: nested sends at
+       delivery time, back to the sender and its neighbour. *)
+    if m.[0] = 'a' && dst mod 2 = 0 then
+      send ~src:dst ~dsts:[ src; (src + 1) mod equiv_nodes ] (Printf.sprintf "r%d" dst)
+  in
+  let n =
+    Network.create ~engine ~topo:(Topology.clustered ~z:2 ~n:4) ~jitter_ms:jitter ~shard_of
+      ~deliver ()
+  in
+  net := Some n;
+  install engine n;
+  Network.crash n 6;
+  List.iter
+    (fun src ->
+      ignore
+        (Engine.schedule_at_shard engine ~shard:(shard_of src) ~at:(Time.ms 1) (fun () ->
+             let others = List.filter (( <> ) src) (List.init equiv_nodes Fun.id) in
+             send ~src ~dsts:others (Printf.sprintf "a%d" src);
+             send ~src ~dsts:(List.rev others) (Printf.sprintf "b%d" src))))
+    [ 0; 1; 4; 5 ];
+  Engine.run engine;
+  let draws =
+    List.init shards (fun shard -> Rdb_prng.Rng.next_int64 (Engine.rng_of_shard engine ~shard))
+  in
+  (List.rev !log, Stats.snapshot (Network.stats n), draws)
+
+let hook_cases =
+  [
+    ("drop rules", fun _ net ->
+        Network.add_drop_rule net (fun ~src ~dst -> src = 0 && dst = 5);
+        Network.sever_link net ~src:4 ~dst:1);
+    ("link loss", fun _ net ->
+        List.iter
+          (fun (src, dst) -> Network.set_link_loss net ~src ~dst ~p:0.5)
+          [ (0, 1); (0, 5); (4, 2); (5, 0); (1, 4) ]);
+    ("link dup", fun _ net ->
+        List.iter
+          (fun (src, dst) -> Network.set_link_dup net ~src ~dst ~p:0.5)
+          [ (0, 1); (0, 5); (4, 2); (5, 0); (1, 4) ];
+        Network.set_link_dup net ~src:4 ~dst:5 ~p:1.0);
+    ("interposer silence", fun _ net ->
+        Network.set_interposer net
+          (Some
+             {
+               Network.on_send =
+                 (fun ~src:_ ~dst m -> if dst mod 3 = 2 then [] else [ (m, Time.zero) ]);
+               on_recv = (fun ~src:_ ~dst:_ _ -> true);
+             }));
+    ("tampered + delayed emissions", fun _ net ->
+        Network.set_interposer net
+          (Some
+             {
+               Network.on_send =
+                 (fun ~src ~dst m ->
+                   if dst mod 2 = 1 then [ (m ^ "'", Time.zero); (m, Time.of_ms_f 0.25) ]
+                   else if src = 4 then [ (m, Time.ms 2) ]
+                   else [ (m, Time.zero) ]);
+               on_recv = (fun ~src ~dst _ -> not (src = 1 && dst = 4));
+             }));
+    ("delivery hook", fun _ net ->
+        Network.set_delivery_hook net
+          (Some
+             (fun ~src:_ ~dst:_ ~nth ~floor:_ ~arrive ~last ->
+               match (nth mod 4, last) with
+               | 1, _ -> Time.add arrive (Time.ms 3)
+               | 2, Some l -> Time.sub l 1L
+               | _ -> arrive)));
+  ]
+
+(* Schedule exploration is single-shard only (Engine.set_defer_hook). *)
+let defer_hook engine _ = Engine.set_defer_hook engine (Some (fun n -> n mod 3 = 0))
+
+(* Every case at once (the second interposer replaces the first). *)
+let all_hooks engine net =
+  List.iter (fun (_, install) -> install engine net) hook_cases;
+  if Engine.n_shards engine = 1 then defer_hook engine net
+
+let test_multicast_equals_sends ~name install () =
+  List.iter
+    (fun (shards, jitter) ->
+      let what = Printf.sprintf "%s, %d shard(s), jitter %.1f ms" name shards jitter in
+      let log_m, stats_m, rng_m = run_sends ~shards ~jitter ~install ~pooled:true in
+      let log_s, stats_s, rng_s = run_sends ~shards ~jitter ~install ~pooled:false in
+      Alcotest.(check bool) (what ^ ": traffic delivered") true (List.length log_m > 20);
+      Alcotest.(check (list string)) (what ^ ": delivery log") log_s log_m;
+      Alcotest.(check bool) (what ^ ": stats") true (stats_s = stats_m);
+      Alcotest.(check (list int64)) (what ^ ": next rng draw") rng_s rng_m;
+      if name <> "no hooks" then begin
+        (* The hook must be live, or the case proves nothing. *)
+        let log_0, _, _ = run_sends ~shards ~jitter ~install:(fun _ _ -> ()) ~pooled:true in
+        Alcotest.(check bool) (what ^ ": hook changed the run") true (log_0 <> log_m)
+      end)
+    (List.concat_map
+       (fun shards -> [ (shards, 0.); (shards, 0.5) ])
+       (if name = "defer hook" then [ 1 ] else [ 1; 2 ]))
+
+let suite =
+  suite
+  @ List.map
+      (fun (name, install) ->
+        ("multicast = sends: " ^ name, `Quick, test_multicast_equals_sends ~name install))
+      ((("no hooks", fun _ _ -> ()) :: hook_cases)
+      @ [ ("defer hook", defer_hook); ("all hooks", all_hooks) ])

@@ -155,21 +155,28 @@ let test_report_json_round_trip () =
     [ false; true ]
 
 let test_report_json_refuses_newer_schema () =
+  (* Only the current schema is read: a newer document and an older one
+     (which no reader fills in defaults for) are both refused. *)
   let s = Scenario.make ~windows:tiny_windows Scenario.Pbft (tiny_cfg ()) in
   let r = Runner.run s in
   match Json.of_string (Report.to_json_string r) with
   | Error msg -> Alcotest.failf "unparseable report JSON: %s" msg
   | Ok (Json.Obj fields) ->
-      let bumped =
+      let with_version v =
         Json.Obj
           (List.map
              (function
-               | "schema_version", _ -> ("schema_version", Json.Int (Report.schema_version + 1))
+               | "schema_version", _ -> ("schema_version", Json.Int v)
                | kv -> kv)
              fields)
       in
-      Alcotest.(check bool) "newer schema refused" true
-        (Result.is_error (Report.of_json (Json.to_string bumped |> Json.of_string |> Result.get_ok)))
+      let refused v =
+        Result.is_error
+          (Report.of_json (Json.to_string (with_version v) |> Json.of_string |> Result.get_ok))
+      in
+      Alcotest.(check bool) "current schema read" false (refused Report.schema_version);
+      Alcotest.(check bool) "newer schema refused" true (refused (Report.schema_version + 1));
+      Alcotest.(check bool) "older schema refused" true (refused (Report.schema_version - 1))
   | Ok _ -> Alcotest.fail "report JSON is not an object"
 
 (* -- sweep determinism ----------------------------------------------------- *)

@@ -4,6 +4,8 @@
 
 module Txn = Rdb_types.Txn
 module Batch = Rdb_types.Batch
+module App = Rdb_types.App
+module Kv = Rdb_storage.Kv
 module Table = Rdb_ycsb.Table
 module Workload = Rdb_ycsb.Workload
 
@@ -18,41 +20,64 @@ let test_default_size () =
   let t = Table.create () in
   Alcotest.(check int) "600k records (paper)" 600_000 (Table.n_records t)
 
+(* Transaction semantics, exercised through the one execution path
+   (Rdb_storage.Kv); the table is the read-only view over its records. *)
+
+let kc = Rdb_crypto.Keychain.create ~seed:"ycsb-suite" ~n_nodes:1
+
+let batch ?(id = 0) txns = Batch.create ~keychain:kc ~id ~cluster:0 ~origin:0 ~txns ~created:0L
+let value kv ~key = Table.read (Table.of_records (Kv.records kv)) ~key
+
 let test_apply_read_write () =
-  let t = Table.create ~n_records:100 () in
-  let before = Table.read t ~key:5 in
-  let r = Table.apply t (Txn.make ~op:Txn.Read ~key:5 ~value:0L ~client_id:1 ()) in
-  Alcotest.(check int64) "read returns value" before r;
-  let w = Table.apply t (Txn.make ~key:5 ~value:42L ~client_id:1 ()) in
-  Alcotest.(check int64) "write updates" w (Table.read t ~key:5);
-  Alcotest.(check bool) "write changed value" true (not (Int64.equal before (Table.read t ~key:5)));
-  Alcotest.(check int) "write counted" 1 (Table.writes t);
-  Alcotest.(check int) "read counted" 1 (Table.reads t)
+  let kv = Kv.memory ~n_records:100 () in
+  let before = value kv ~key:5 in
+  let b = batch [| Txn.make ~op:Txn.Read ~key:5 ~value:0L ~client_id:1 () |] in
+  let r = Kv.apply kv b in
+  (* A batch's result digest covers each txn's result value: for a
+     read, the value read. *)
+  let le64 v =
+    let buf = Bytes.create 8 in
+    Bytes.set_int64_le buf 0 v;
+    Bytes.to_string buf
+  in
+  Alcotest.(check string) "read returns value"
+    (Rdb_crypto.Sha256.digest (b.Batch.digest ^ le64 before))
+    r.App.digest;
+  Alcotest.(check int64) "read leaves state" before (value kv ~key:5);
+  let r = Kv.apply kv (batch ~id:1 [| Txn.make ~key:5 ~value:42L ~client_id:1 () |]) in
+  Alcotest.(check int64) "write updates"
+    (Int64.add (Rdb_prng.Splitmix64.mix before) 42L)
+    (value kv ~key:5);
+  Alcotest.(check bool) "write changed value" true (not (Int64.equal before (value kv ~key:5)));
+  Alcotest.(check int) "write counted" 1 r.App.writes;
+  Alcotest.(check int) "read counted" 1 ((Kv.app kv).App.reads ())
 
 let test_order_sensitivity () =
   (* Execution order must be visible in the state: replicas that apply
      the same batches in different orders diverge (this is what the
      safety tests detect). *)
-  let t1 = Table.create ~n_records:100 () in
-  let t2 = Table.create ~n_records:100 () in
-  let a = Txn.make ~key:7 ~value:1L ~client_id:1 () in
-  let b = Txn.make ~key:7 ~value:2L ~client_id:1 () in
-  ignore (Table.apply t1 a);
-  ignore (Table.apply t1 b);
-  ignore (Table.apply t2 b);
-  ignore (Table.apply t2 a);
+  let kv1 = Kv.memory ~n_records:100 () in
+  let kv2 = Kv.memory ~n_records:100 () in
+  let a = batch ~id:1 [| Txn.make ~key:7 ~value:1L ~client_id:1 () |] in
+  let b = batch ~id:2 [| Txn.make ~key:7 ~value:2L ~client_id:1 () |] in
+  ignore (Kv.apply kv1 a);
+  ignore (Kv.apply kv1 b);
+  ignore (Kv.apply kv2 b);
+  ignore (Kv.apply kv2 a);
   Alcotest.(check bool) "order matters" true
-    (not (Int64.equal (Table.read t1 ~key:7) (Table.read t2 ~key:7)))
+    (not (Int64.equal (value kv1 ~key:7) (value kv2 ~key:7)))
 
 let test_deterministic_replay () =
-  let t1 = Table.create ~n_records:1000 () in
-  let t2 = Table.create ~n_records:1000 () in
+  let kv1 = Kv.memory ~n_records:1000 () in
+  let kv2 = Kv.memory ~n_records:1000 () in
   let w = Workload.create ~n_records:1000 ~seed:9 ~client_base:0 () in
-  let batches = Array.init 20 (fun _ -> Workload.next_batch_txns w ~batch_size:10) in
-  Array.iter (fun b -> ignore (Table.apply_batch t1 b)) batches;
-  Array.iter (fun b -> ignore (Table.apply_batch t2 b)) batches;
-  Alcotest.(check int64) "identical state after replay" (Table.quick_fingerprint t1)
-    (Table.quick_fingerprint t2)
+  let batches =
+    Array.init 20 (fun id -> batch ~id (Workload.next_batch_txns w ~batch_size:10))
+  in
+  let results kv = Array.map (fun b -> (Kv.apply kv b).App.digest) batches in
+  Alcotest.(check (array string)) "identical results" (results kv1) (results kv2);
+  Alcotest.(check string) "identical state after replay" (Kv.state_digest kv1)
+    (Kv.state_digest kv2)
 
 let test_workload_determinism () =
   let w1 = Workload.create ~n_records:1000 ~seed:5 ~client_base:0 () in
@@ -178,10 +203,11 @@ let prop_digest_changes_on_write =
   QCheck.Test.make ~name:"state digest changes on every write" ~count:30
     QCheck.(pair (int_bound 999) small_int)
     (fun (key, v) ->
-      let t = Table.create ~n_records:1000 () in
-      let d0 = Table.state_digest t in
-      ignore (Table.apply t (Txn.make ~key ~value:(Int64.of_int (v + 1)) ~client_id:0 ()));
-      not (String.equal d0 (Table.state_digest t)))
+      let kv = Kv.memory ~n_records:1000 () in
+      let d0 = Kv.state_digest kv in
+      let w = Txn.make ~key ~value:(Int64.of_int (v + 1)) ~client_id:0 () in
+      ignore (Kv.apply kv (batch [| w |]));
+      not (String.equal d0 (Kv.state_digest kv)))
 
 let suite =
   [

@@ -33,4 +33,5 @@ let () =
       ("chaos", Suite_chaos.suite);
       ("check", Suite_check.suite);
       ("adversary", Suite_adversary.suite);
+      ("golden", Suite_golden.suite);
     ]
